@@ -1,114 +1,80 @@
 package engine
 
-import (
-	"fmt"
-	"sort"
-)
-
-// AddressedBatch is a batch of tuples routed to one consumer executor.
-type AddressedBatch struct {
-	Consumer int // consumer executor index within the consumer operator
-	Tuples   []Tuple
-}
+import "fmt"
 
 // edgeRouter routes one producer stream to one consumer subscription,
 // implementing the paper's non-blocking tuple batching (Algorithm 1): all
 // tuples emitted during a single invocation are grouped into per-consumer
-// batches and emitted at the end of the invocation — no cross-invocation
-// buffering, hence no added buffering delay.
+// buckets and emitted at the end of the invocation — no cross-invocation
+// buffering, hence no added buffering delay. Buckets are reused across
+// invocations, so steady-state routing allocates nothing.
 type edgeRouter struct {
 	group     Grouping
 	consumers int
 	fieldIdx  []int // resolved key field indices for fields grouping
-	rr        int   // rotating block cursor for shuffle grouping
+	rr        int   // rotating cursor for shuffle grouping
+	buckets   [][]Tuple
 }
 
 func newEdgeRouter(producer StreamSpec, sub Subscription, consumers int) *edgeRouter {
-	r := &edgeRouter{group: sub.Group, consumers: consumers}
+	switch sub.Group.Kind {
+	case GroupShuffle, GroupFields, GroupGlobal, GroupAll:
+	default:
+		panic(fmt.Sprintf("engine: unknown grouping %v", sub.Group.Kind))
+	}
+	r := &edgeRouter{group: sub.Group, consumers: consumers, buckets: make([][]Tuple, consumers)}
 	if sub.Group.Kind == GroupFields {
 		r.fieldIdx = FieldIndices(producer, sub.Group.Fields)
 	}
 	return r
 }
 
-// route partitions the tuples of one invocation into addressed batches of
-// at most batchCap tuples each (batchCap <= 0 means unbounded). Fields
-// grouping follows Algorithm 1: the new key is the hash of the combined
-// grouping attributes modulo the consumer count, so tuples sharing original
-// keys always share a destination, while tuples with different keys that
-// map to the same destination ride the same batch.
-func (r *edgeRouter) route(tuples []Tuple, batchCap int) []AddressedBatch {
-	if len(tuples) == 0 {
-		return nil
-	}
-	switch r.group.Kind {
-	case GroupShuffle:
-		return r.routeShuffle(tuples, batchCap)
-	case GroupFields:
-		return r.routeFields(tuples, batchCap)
-	case GroupGlobal:
-		return capBatches(0, tuples, batchCap)
-	case GroupAll:
-		var out []AddressedBatch
-		for c := 0; c < r.consumers; c++ {
-			cp := make([]Tuple, len(tuples))
-			copy(cp, tuples)
-			out = append(out, capBatches(c, cp, batchCap)...)
+// route partitions the tuples of one invocation into per-consumer buckets,
+// returned indexed by consumer executor and valid until the next call. The
+// buckets may alias tuples, so callers copy what they keep. Shuffle
+// assigns round-robin with a cursor that persists between invocations, so
+// cumulative imbalance never exceeds one tuple. Fields grouping follows
+// Algorithm 1: the new key is the hash of the combined grouping attributes
+// modulo the consumer count, so tuples sharing original keys always share a
+// destination, while tuples with different keys that map to the same
+// destination ride the same batch.
+//
+//dsp:hotpath
+func (r *edgeRouter) route(tuples []Tuple) [][]Tuple {
+	b := r.buckets
+	switch {
+	case r.group.Kind == GroupAll:
+		for c := range b {
+			b[c] = tuples
 		}
-		return out
-	}
-	panic(fmt.Sprintf("engine: unknown grouping %v", r.group.Kind))
-}
-
-// routeShuffle assigns tuples round-robin across consumers (the cursor
-// persists between invocations, so cumulative imbalance never exceeds one
-// tuple) and emits each consumer's share as a batch.
-func (r *edgeRouter) routeShuffle(tuples []Tuple, batchCap int) []AddressedBatch {
-	groups := make([][]Tuple, r.consumers)
-	for _, t := range tuples {
-		groups[r.rr] = append(groups[r.rr], t)
-		r.rr = (r.rr + 1) % r.consumers
-	}
-	var out []AddressedBatch
-	for c, g := range groups {
-		if len(g) > 0 {
-			out = append(out, capBatches(c, g, batchCap)...)
+	case r.consumers == 1 || r.group.Kind == GroupGlobal:
+		b[0] = tuples
+	case r.group.Kind == GroupShuffle:
+		for c := range b {
+			b[c] = b[c][:0]
+		}
+		for i := range tuples {
+			b[r.rr] = append(b[r.rr], tuples[i])
+			r.rr++
+			if r.rr == r.consumers {
+				r.rr = 0
+			}
+		}
+	default: // GroupFields
+		for c := range b {
+			b[c] = b[c][:0]
+		}
+		for i := range tuples {
+			var h uint64
+			if len(tuples[i].Values) == 0 {
+				// Values-free ack tuple: the key is its root.
+				h = hashAckRoot(tuples[i].Root)
+			} else {
+				h = HashFields(tuples[i].Values, r.fieldIdx)
+			}
+			c := int(h % uint64(r.consumers))
+			b[c] = append(b[c], tuples[i])
 		}
 	}
-	return out
-}
-
-// routeFields is Algorithm 1. The multi-valued hash map is keyed by
-// newkey = hash(combined grouping attributes) mod consumers.
-func (r *edgeRouter) routeFields(tuples []Tuple, batchCap int) []AddressedBatch {
-	cache := make(map[int][]Tuple) // the HashMultimap of Algorithm 1
-	for _, t := range tuples {
-		newkey := int(HashFields(t.Values, r.fieldIdx) % uint64(r.consumers))
-		cache[newkey] = append(cache[newkey], t)
-	}
-	keys := make([]int, 0, len(cache))
-	for k := range cache {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys) // deterministic emission order
-	var out []AddressedBatch
-	for _, k := range keys {
-		out = append(out, capBatches(k, cache[k], batchCap)...)
-	}
-	return out
-}
-
-func capBatches(consumer int, tuples []Tuple, batchCap int) []AddressedBatch {
-	if batchCap <= 0 || len(tuples) <= batchCap {
-		return []AddressedBatch{{Consumer: consumer, Tuples: tuples}}
-	}
-	var out []AddressedBatch
-	for i := 0; i < len(tuples); i += batchCap {
-		end := i + batchCap
-		if end > len(tuples) {
-			end = len(tuples)
-		}
-		out = append(out, AddressedBatch{Consumer: consumer, Tuples: tuples[i:end]})
-	}
-	return out
+	return b
 }

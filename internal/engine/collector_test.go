@@ -16,13 +16,37 @@ func mkTuples(keys ...string) []Tuple {
 
 var wordStream = Stream(DefaultStream, "word", "n")
 
+// AddressedBatch is a batch of tuples routed to one consumer executor.
+type AddressedBatch struct {
+	Consumer int // consumer executor index within the consumer operator
+	Tuples   []Tuple
+}
+
+// routeBatches routes one invocation's tuples and splits each consumer's
+// bucket into fresh batches of at most batchCap tuples (<= 0: unbounded),
+// in the ascending consumer order the executor core seals them in.
+func routeBatches(r *edgeRouter, tuples []Tuple, batchCap int) []AddressedBatch {
+	var out []AddressedBatch
+	for c, b := range r.route(tuples) {
+		for len(b) > 0 {
+			n := len(b)
+			if batchCap > 0 && n > batchCap {
+				n = batchCap
+			}
+			out = append(out, AddressedBatch{Consumer: c, Tuples: append([]Tuple(nil), b[:n]...)})
+			b = b[n:]
+		}
+	}
+	return out
+}
+
 func fieldsRouter(consumers int) *edgeRouter {
 	return newEdgeRouter(wordStream, Subscription{Group: Fields("word")}, consumers)
 }
 
 func TestFieldsRoutingSameKeySameConsumer(t *testing.T) {
 	r := fieldsRouter(3)
-	batches := r.route(mkTuples("a", "b", "a", "c", "a", "b"), 0)
+	batches := routeBatches(r, mkTuples("a", "b", "a", "c", "a", "b"), 0)
 	dest := map[string]int{}
 	for _, b := range batches {
 		for _, tu := range b.Tuples {
@@ -42,8 +66,8 @@ func TestFieldsRoutingSameKeySameConsumer(t *testing.T) {
 func TestFieldsRoutingStableAcrossInvocations(t *testing.T) {
 	r1 := fieldsRouter(4)
 	r2 := fieldsRouter(4)
-	b1 := r1.route(mkTuples("x"), 0)
-	b2 := r2.route(mkTuples("x", "y", "x"), 0)
+	b1 := routeBatches(r1, mkTuples("x"), 0)
+	b2 := routeBatches(r2, mkTuples("x", "y", "x"), 0)
 	var c1, c2 = -1, -1
 	c1 = b1[0].Consumer
 	for _, b := range b2 {
@@ -62,7 +86,7 @@ func TestShuffleRoutingBalancesBlocks(t *testing.T) {
 	r := newEdgeRouter(wordStream, Subscription{Group: Shuffle()}, 2)
 	counts := map[int]int{}
 	for inv := 0; inv < 10; inv++ {
-		for _, b := range r.route(mkTuples("a", "b", "c", "d"), 2) {
+		for _, b := range routeBatches(r, mkTuples("a", "b", "c", "d"), 2) {
 			if len(b.Tuples) != 2 {
 				t.Fatalf("block size %d, want 2", len(b.Tuples))
 			}
@@ -76,8 +100,8 @@ func TestShuffleRoutingBalancesBlocks(t *testing.T) {
 
 func TestShuffleRotatesStartConsumer(t *testing.T) {
 	r := newEdgeRouter(wordStream, Subscription{Group: Shuffle()}, 3)
-	first := r.route(mkTuples("a"), 1)[0].Consumer
-	second := r.route(mkTuples("a"), 1)[0].Consumer
+	first := routeBatches(r, mkTuples("a"), 1)[0].Consumer
+	second := routeBatches(r, mkTuples("a"), 1)[0].Consumer
 	if first == second {
 		t.Fatalf("consecutive single-tuple invocations hit the same consumer %d", first)
 	}
@@ -85,7 +109,7 @@ func TestShuffleRotatesStartConsumer(t *testing.T) {
 
 func TestGlobalRoutingAllToZero(t *testing.T) {
 	r := newEdgeRouter(wordStream, Subscription{Group: Global()}, 5)
-	for _, b := range r.route(mkTuples("a", "b", "c"), 0) {
+	for _, b := range routeBatches(r, mkTuples("a", "b", "c"), 0) {
 		if b.Consumer != 0 {
 			t.Fatalf("global routed to %d", b.Consumer)
 		}
@@ -94,7 +118,7 @@ func TestGlobalRoutingAllToZero(t *testing.T) {
 
 func TestAllRoutingReplicates(t *testing.T) {
 	r := newEdgeRouter(wordStream, Subscription{Group: All()}, 3)
-	batches := r.route(mkTuples("a", "b"), 0)
+	batches := routeBatches(r, mkTuples("a", "b"), 0)
 	got := map[int]int{}
 	for _, b := range batches {
 		got[b.Consumer] += len(b.Tuples)
@@ -108,7 +132,7 @@ func TestAllRoutingReplicates(t *testing.T) {
 
 func TestBatchCapSplits(t *testing.T) {
 	r := newEdgeRouter(wordStream, Subscription{Group: Global()}, 1)
-	batches := r.route(mkTuples("a", "b", "c", "d", "e"), 2)
+	batches := routeBatches(r, mkTuples("a", "b", "c", "d", "e"), 2)
 	if len(batches) != 3 {
 		t.Fatalf("got %d batches, want 3 (2+2+1)", len(batches))
 	}
@@ -119,7 +143,7 @@ func TestBatchCapSplits(t *testing.T) {
 
 func TestEmptyRouteReturnsNil(t *testing.T) {
 	r := fieldsRouter(3)
-	if got := r.route(nil, 0); got != nil {
+	if got := routeBatches(r, nil, 0); got != nil {
 		t.Fatalf("routing no tuples produced %v", got)
 	}
 }
@@ -138,7 +162,7 @@ func TestFieldsRoutingProperty(t *testing.T) {
 		}
 		r := fieldsRouter(consumers)
 		in := mkTuples(keys...)
-		out := r.route(in, 0)
+		out := routeBatches(r, in, 0)
 
 		seen := 0
 		for _, b := range out {
@@ -175,7 +199,7 @@ func TestShuffleRoutingProperty(t *testing.T) {
 				in[i] = Tuple{Values: []Value{"k", i}}
 			}
 			got := 0
-			for _, b := range r.route(in, capSize) {
+			for _, b := range routeBatches(r, in, capSize) {
 				counts[b.Consumer] += len(b.Tuples)
 				got += len(b.Tuples)
 			}

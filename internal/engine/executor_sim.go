@@ -1,28 +1,15 @@
 package engine
 
 import (
-	"fmt"
-	"math/rand"
-
 	"streamscale/internal/hw"
-	"streamscale/internal/metrics"
 	"streamscale/internal/sim"
 )
 
-// simEdge routes one stream of one producer executor to a consumer
-// operator's executors in the simulated runtime.
-type simEdge struct {
-	router    *edgeRouter
-	stream    string
-	consumers []*simExecutor
-	system    bool
-}
-
-// delivery is one routed message awaiting space in a consumer queue.
+// delivery is one sealed message awaiting space in its consumer's queue.
 type delivery struct {
-	q   *simQueue
-	to  int // consumer executor global index, for the edge-traffic account
-	msg Msg
+	c     *conn
+	msg   Msg
+	bytes int // tuple payload, for the per-byte delivery cost
 }
 
 type execStage int
@@ -33,30 +20,19 @@ const (
 	stageDone
 )
 
-// simExecutor is one executor thread in the simulated runtime. It
-// implements sim.Runner: the scheduler calls Step, and all work performed
-// during the step is charged to the simulated machine in cycles.
+// simExecutor is one executor thread in the simulated runtime: the shared
+// executor core plus the simulated machine's side of it. It implements
+// sim.Runner — the scheduler calls Step, and all work performed during
+// the step is charged to the simulated machine in cycles — and it is the
+// core's backend, whose cost hooks do the charging.
 type simExecutor struct {
-	rt     *simRuntime
-	node   *Node
-	index  int
-	global int
+	executor
+	rt *simRuntime
 
-	op  Operator
-	src Source
-
-	in         *simQueue
-	nProducers int
-	eosSeen    int
-	edges      map[string][]*simEdge
+	in *simQueue
 
 	thread  *sim.Thread
 	curCore int
-
-	rng     *rand.Rand
-	ctx     *simCtx
-	buffers map[string][]Tuple
-	ackAck  map[int64]int64
 
 	// costs accumulates this executor's Table II charges for the run.
 	costs    hw.CostVec
@@ -72,57 +48,31 @@ type simExecutor struct {
 	srcDone     bool
 	stage       execStage
 
-	pending    []delivery
-	pendingEOS bool
+	// pending holds sealed messages not yet pushed; sent counts the
+	// pushed prefix. Both reset once everything is out, so a blocked
+	// executor resumes where it stopped.
+	pending []delivery
+	sent    int
+	// slabs holds batch slabs consumers have drained and handed back.
+	slabs [][]Tuple
 
-	invocations int64
-	tuples      int64
-	procCycles  sim.Cycles
-	waitCycles  sim.Cycles // queue sojourn of processed messages
-	firstTuple  sim.Cycles // wall span of the executor's active period
-	lastTuple   sim.Cycles
+	procCycles sim.Cycles
+	firstTuple sim.Cycles // wall span of the executor's active period
+	lastTuple  sim.Cycles
 
 	// nextEmit is the next arrival instant under open-loop source pacing.
 	nextEmit sim.Cycles
 
-	// Open-loop intended-arrival schedule (coordinated-omission correction):
-	// tuple j from this source is *scheduled* at firstEmit + j*bornStep
-	// cycles regardless of when backpressure actually let it out, and is
-	// stamped with that instant. bornStep == 0 means uninitialized.
-	bornSched float64
-	bornStep  float64
-
-	// Flink barrier alignment: checkpoint id -> producers seen.
-	barrierSeen map[int64]int
 	nextBarrier sim.Cycles
 	barrierID   int64
 
-	latency *metrics.Histogram
-	isSink  bool
-	sinkN   int64
-	// sampleIn counts down sink tuples to the next latency sample; both
-	// runtimes use the identical countdown so they sample the same tuple
-	// positions (N, 2N, ...) for the same config.
-	sampleIn int
+	// traceInvoke marks the current invocation's batch as trace-sampled.
+	traceInvoke bool
 }
 
 func newSimExecutor(rt *simRuntime, n *Node, index, global int) *simExecutor {
-	e := &simExecutor{
-		rt: rt, node: n, index: index, global: global,
-		rng:         rand.New(rand.NewSource(rt.cfg.Seed + int64(global)*7919 + 11)),
-		buffers:     make(map[string][]Tuple),
-		edges:       make(map[string][]*simEdge),
-		latency:     metrics.NewHistogram(1 << 14),
-		sampleIn:    rt.cfg.LatencySampleEvery,
-		isSink:      isSink(n),
-		stateSocket: -1,
-		barrierSeen: make(map[int64]int),
-	}
-	if n.IsSource() {
-		e.src = n.NewSource()
-	} else {
-		e.op = n.NewOp()
-	}
+	e := &simExecutor{rt: rt, stateSocket: -1}
+	e.init(e, &rt.ecfg, n, index, global, rt.cfg.Seed+int64(global)*7919+11)
 	return e
 }
 
@@ -133,6 +83,7 @@ func (e *simExecutor) now() sim.Cycles { return e.stepAt + e.consumed }
 func (e *simExecutor) Step(quantum sim.Cycles) (sim.Cycles, sim.Disposition) {
 	e.consumed = 0
 	e.stepAt = e.rt.kernel.Now()
+	e.base = int64(e.stepAt)
 	if !e.prepared {
 		e.prepare()
 	}
@@ -155,12 +106,12 @@ func (e *simExecutor) Step(quantum sim.Cycles) (sim.Cycles, sim.Disposition) {
 				return e.consumed, sim.Blocked
 			}
 			e.maybeEmitBarrier()
-			before := e.rt.sourceEvents
+			before := e.srcEvents
 			if !e.sourceInvocation() {
 				e.srcDone = true
 			}
 			if rate := e.rt.cfg.SourceRate; rate > 0 {
-				emitted := e.rt.sourceEvents - before
+				emitted := e.srcEvents - before
 				gap := sim.Cycles(float64(emitted) / rate * float64(e.rt.cfg.Spec.ClockHz))
 				if e.nextEmit == 0 {
 					e.nextEmit = e.stepAt
@@ -206,14 +157,13 @@ func (e *simExecutor) prepare() {
 			e.stateBase = e.allocRaw(p.StateBytes)
 		}
 	}
-	e.ctx = &simCtx{ex: e}
 	if e.src != nil {
-		e.src.Prepare(e.ctx)
+		e.src.Prepare(e)
 		if iv := e.rt.cfg.System.CheckpointInterval; iv > 0 {
 			e.nextBarrier = iv
 		}
 	} else {
-		e.op.Prepare(e.ctx)
+		e.op.Prepare(e)
 	}
 }
 
@@ -275,7 +225,6 @@ func (e *simExecutor) mispredicts(branches int) int {
 // the platform hot path plus the operator's own code are fetched through
 // the instruction hierarchy, and dispatch computation is charged.
 func (e *simExecutor) chargeInvocationOverhead() {
-	e.invocations++
 	hot := e.rt.hotRegions
 	uops := e.rt.cfg.System.UopsPerInvoke
 	if e.node.System {
@@ -324,48 +273,26 @@ func (e *simExecutor) chargeTupleOverhead(t *Tuple) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+// chargeEmitted charges writing a fresh tuple into the producer's local
+// memory (Fig 3 step 1) and stamps its emission instant.
+func (e *simExecutor) chargeEmitted(t *Tuple, uops, branches int) {
+	t.Addr = e.alloc(int(t.Size))
+	e.write(t.Addr, int(t.Size))
+	e.compute(uops, branches)
+	t.EmitAt = int64(e.now())
 }
 
-// sourceInvocation emits up to BatchSize tuples; returns false at source
-// exhaustion.
-func (e *simExecutor) sourceInvocation() bool {
-	e.chargeInvocationOverhead()
-	target := e.rt.cfg.BatchSize
-	n := 0
-	alive := true
-	for n < target && alive {
-		before := len(e.buffers[DefaultStream]) + e.otherBuffered()
-		alive = e.src.Next(e.ctx)
-		n += len(e.buffers[DefaultStream]) + e.otherBuffered() - before
-	}
-	e.endInvocation()
-	return alive
-}
-
-func (e *simExecutor) otherBuffered() int {
-	n := 0
-	for s, b := range e.buffers {
-		if s != DefaultStream {
-			n += len(b)
-		}
-	}
-	return n
-}
-
+// handleMsg dispatches one popped message: EOS, barrier, or a data batch.
 func (e *simExecutor) handleMsg(msg Msg) {
 	if msg.EOS {
 		e.eosSeen++
 		return
 	}
 	if msg.Barrier != 0 {
-		e.handleBarrier(msg.Barrier)
+		e.alignBarrier(msg.Barrier)
 		return
 	}
+	defer e.recycle(msg)
 	if limit, ok := e.rt.cfg.FailAfter[e.global]; ok && e.tuples >= limit {
 		// Injected failure: the executor zombies — it keeps draining its
 		// queue (so upstream backpressure resolves) but drops everything.
@@ -374,12 +301,10 @@ func (e *simExecutor) handleMsg(msg Msg) {
 		return
 	}
 	start := e.consumed
-	tr := e.rt.tr
-	sampled := false
-	if tr != nil {
+	if tr := e.rt.tr; tr != nil {
 		for i := range msg.Batch {
 			if tr.Sampled(msg.Batch[i].Root) {
-				sampled = true
+				e.traceInvoke = true
 				if msg.EnqueuedAt > 0 {
 					tr.QueueWait(e.global, msg.FromOp, e.node.Name,
 						msg.Batch[i].Root, sim.Cycles(msg.EnqueuedAt), e.now())
@@ -387,176 +312,38 @@ func (e *simExecutor) handleMsg(msg Msg) {
 			}
 		}
 	}
-	if msg.EnqueuedAt > 0 {
-		if wait := e.now() - sim.Cycles(msg.EnqueuedAt); wait > 0 {
-			e.waitCycles += wait * sim.Cycles(len(msg.Batch))
-		}
-	}
-	if sampled {
-		invStart := e.now()
-		preInv := e.costs
-		e.chargeInvocationOverhead()
-		tr.Invoke(e.global, e.node.Name, invStart, e.now()-invStart, preInv, e.costs)
-	} else {
-		e.chargeInvocationOverhead()
-	}
-	for i := range msg.Batch {
-		t := &msg.Batch[i]
-		e.ctx.curInput = t
-		e.ctx.inOp, e.ctx.inStream = msg.FromOp, msg.Stream
-		if e.ackTracking() {
-			e.accumAck(t.Root, t.Edge)
-		}
-		if tr != nil && tr.Sampled(t.Root) {
-			tStart := e.now()
-			preCosts := e.costs
-			e.processTuple(t)
-			tr.Execute(e.global, e.node.Name, t.Root, tStart, e.now()-tStart, preCosts, e.costs)
-		} else {
-			e.processTuple(t)
-		}
-	}
-	e.ctx.curInput = nil
 	if e.tuples == 0 {
 		e.firstTuple = e.stepAt + start
 	}
-	e.tuples += int64(len(msg.Batch))
-	e.endInvocation()
+	e.processBatch(msg)
 	e.procCycles += e.consumed - start
 	e.lastTuple = e.now()
 }
 
-// processTuple runs one input tuple through the executor: framework and
-// profile charges, sink observation, and the operator's Process.
-func (e *simExecutor) processTuple(t *Tuple) {
-	e.chargeTupleOverhead(t)
-	if e.isSink {
-		e.observeSink(t)
-	}
-	e.op.Process(e.ctx, *t)
-}
-
-func (e *simExecutor) ackTracking() bool {
-	return e.rt.cfg.System.AckEnabled && !e.node.System
-}
-
-func (e *simExecutor) accumAck(root, edge int64) {
-	if root == 0 {
-		return // unanchored tuple tree
-	}
-	if e.ackAck == nil {
-		e.ackAck = make(map[int64]int64)
-	}
-	e.ackAck[root] ^= edge
-}
-
-func (e *simExecutor) observeSink(t *Tuple) {
-	e.sinkN++
-	e.rt.sinkEvents++
-	if tr := e.rt.tr; tr != nil && tr.Sampled(t.Root) {
-		e2e := e.now() - sim.Cycles(t.Born)
-		if e2e < 0 {
-			e2e = 0
-		}
-		tr.Sink(e.global, e.node.Name, t.Root, e.now(), e2e)
-	}
-	e.sampleIn--
-	if e.sampleIn <= 0 {
-		e.sampleIn = e.rt.cfg.LatencySampleEvery
-		// Step execution windows overlap, so a tuple can be observed up to
-		// one quantum before its producer's window closes; clamp at zero.
-		lat := e.now() - sim.Cycles(t.Born)
-		if lat < 0 {
-			lat = 0
-		}
-		e.latency.Observe(lat.Millis(e.rt.cfg.Spec.ClockHz))
-	}
-}
-
-// endInvocation routes everything emitted during the invocation (Algorithm
-// 1 batching), assigns ack edges per delivered copy, generates ack
-// messages, and enqueues deliveries.
-func (e *simExecutor) endInvocation() {
-	for _, s := range e.node.Streams {
-		buf := e.buffers[s.Name]
-		if len(buf) == 0 {
-			continue
-		}
-		e.buffers[s.Name] = nil
-		e.routeBuffer(s.Name, buf)
-	}
-	e.flushAcks()
-}
-
-func (e *simExecutor) routeBuffer(stream string, buf []Tuple) {
-	for _, ed := range e.edges[stream] {
-		for _, b := range ed.router.route(buf, e.batchCap(stream)) {
-			if e.ackTracking() && !ed.system {
-				for i := range b.Tuples {
-					edge := e.rng.Int63()
-					b.Tuples[i].Edge = edge
-					e.accumAck(b.Tuples[i].Root, edge)
-				}
-			}
-			c := ed.consumers[b.Consumer]
-			e.pending = append(e.pending, delivery{
-				q: c.in, to: c.global,
-				msg: Msg{
-					FromGlobal: e.global, FromOp: e.node.Name,
-					Stream: stream, Batch: b.Tuples,
-				},
-			})
-		}
-	}
-}
-
-func (e *simExecutor) batchCap(stream string) int {
-	if stream == AckStream {
-		return 0
-	}
-	return 4 * e.rt.cfg.BatchSize
-}
-
-func (e *simExecutor) flushAcks() {
-	if len(e.ackAck) == 0 {
-		return
-	}
-	accum := e.ackAck
-	e.ackAck = nil
-	var buf []Tuple
-	for _, root := range sortedRoots(accum) {
-		vals := []Value{root, accum[root]}
-		t := Tuple{Values: vals, Root: root, Size: int32(TupleBytes(vals))}
-		t.Addr = e.alloc(int(t.Size))
-		e.write(t.Addr, int(t.Size))
-		e.compute(e.node.Profile.UopsPerEmit+120, 2)
-		t.EmitAt = int64(e.now())
-		buf = append(buf, t)
-	}
-	e.routeBuffer(AckStream, buf)
+// recycle hands a drained batch slab back to its producer's pool.
+func (e *simExecutor) recycle(msg Msg) {
+	clear(msg.Batch)
+	p := e.rt.execs[msg.FromGlobal]
+	p.slabs = append(p.slabs, msg.Batch[:0])
 }
 
 // flushPending pushes queued deliveries; false means blocked on a full
 // consumer queue.
 func (e *simExecutor) flushPending() bool {
 	sys := &e.rt.cfg.System
-	for len(e.pending) > 0 {
-		d := e.pending[0]
+	for ; e.sent < len(e.pending); e.sent++ {
+		d := &e.pending[e.sent]
+		q := e.rt.execs[d.c.To].in
 		d.msg.EnqueuedAt = int64(e.now())
-		slot, ok := d.q.tryPush(d.msg)
+		slot, ok := q.tryPush(d.msg)
 		if !ok {
-			d.q.awaitSpace(e.thread)
+			q.awaitSpace(e.thread)
 			return false
 		}
-		e.write(d.q.slotAddr(slot), d.q.slotBytes)
+		e.write(q.slotAddr(slot), q.slotBytes)
 		// Per-delivery framework cost: buffer claim/publish plus the
 		// per-byte (de)serialization of the batch's payload.
-		bytes := 0
-		for i := range d.msg.Batch {
-			bytes += int(d.msg.Batch[i].Size)
-		}
-		e.compute(sys.DeliveryUops+int(float64(bytes)*sys.DeliveryUopsPerByte), 3)
-		e.rt.noteDelivery(e.global, d.to, len(d.msg.Batch), bytes)
+		e.compute(sys.DeliveryUops+int(float64(d.bytes)*sys.DeliveryUopsPerByte), 3)
 		if tr := e.rt.tr; tr != nil {
 			for i := range d.msg.Batch {
 				t := &d.msg.Batch[i]
@@ -564,37 +351,23 @@ func (e *simExecutor) flushPending() bool {
 					// The consumer's queue ring lives on its home socket;
 					// comparing it against the producer's current socket
 					// marks cross-socket transfers (Fig 3 step 2).
-					tr.Deliver(e.global, e.node.Name, e.rt.execs[d.to].node.Name,
+					tr.Deliver(e.global, e.node.Name, e.rt.execs[d.c.To].node.Name,
 						t.Root, sim.Cycles(t.EmitAt), e.now(),
-						e.rt.machine.SocketOfCore(e.curCore), hw.HomeSocket(d.q.baseAddr))
+						e.rt.machine.SocketOfCore(e.curCore), hw.HomeSocket(q.baseAddr))
 				}
 			}
 		}
-		e.pending = e.pending[1:]
 	}
-	e.pending = nil
+	clear(e.pending)
+	e.pending = e.pending[:0]
+	e.sent = 0
 	return true
 }
 
 // beginFinish runs the operator's flush and stages EOS broadcasts.
 func (e *simExecutor) beginFinish() (sim.Cycles, sim.Disposition) {
 	e.stage = stageFinish
-	if f, ok := e.op.(Flusher); ok {
-		e.ctx.curInput = nil
-		e.chargeInvocationOverhead()
-		f.Flush(e.ctx)
-		e.endInvocation()
-	}
-	for _, s := range e.node.Streams {
-		for _, ed := range e.edges[s.Name] {
-			for _, c := range ed.consumers {
-				e.pending = append(e.pending, delivery{
-					q: c.in, to: c.global,
-					msg: Msg{FromGlobal: e.global, FromOp: e.node.Name, Stream: s.Name, EOS: true},
-				})
-			}
-		}
-	}
+	e.finish()
 	if !e.flushPending() {
 		return e.consumed, sim.Blocked
 	}
@@ -623,30 +396,75 @@ func (e *simExecutor) maybeEmitBarrier() {
 	}
 }
 
-func (e *simExecutor) broadcastBarrier(id int64) {
-	for _, s := range e.node.Streams {
-		if s.Name == AckStream {
-			continue
-		}
-		for _, ed := range e.edges[s.Name] {
-			for _, c := range ed.consumers {
-				e.pending = append(e.pending, delivery{
-					q: c.in, to: c.global,
-					msg: Msg{FromGlobal: e.global, FromOp: e.node.Name, Stream: s.Name, Barrier: id},
-				})
-			}
-		}
+// The executor core's backend.
+
+func (e *simExecutor) ticks() int64 { return int64(e.now()) }
+func (e *simExecutor) stamp() int64 { return int64(e.now()) }
+
+// newRoot draws from the run-wide root counter.
+func (e *simExecutor) newRoot() int64 {
+	e.rt.rootCtr++
+	if tr := e.rt.tr; tr != nil {
+		tr.SpoutEmit(e.rt.rootCtr)
 	}
+	return e.rt.rootCtr
 }
 
-// handleBarrier aligns barriers from all producers, snapshots state, and
-// forwards the barrier downstream (Flink's checkpointing).
-func (e *simExecutor) handleBarrier(id int64) {
-	e.barrierSeen[id]++
-	if e.barrierSeen[id] < e.nProducers {
+func (e *simExecutor) slab(*conn) []Tuple {
+	n := len(e.slabs)
+	if n == 0 {
+		return nil
+	}
+	s := e.slabs[n-1]
+	e.slabs = e.slabs[:n-1]
+	return s
+}
+
+func (e *simExecutor) send(c *conn, m Msg, bytes int) {
+	e.pending = append(e.pending, delivery{c: c, msg: m, bytes: bytes})
+}
+
+func (e *simExecutor) chargeInvoke() {
+	if !e.traceInvoke {
+		e.chargeInvocationOverhead()
 		return
 	}
-	delete(e.barrierSeen, id)
+	e.traceInvoke = false
+	start, pre := e.now(), e.costs
+	e.chargeInvocationOverhead()
+	e.rt.tr.Invoke(e.global, e.node.Name, start, e.now()-start, pre, e.costs)
+}
+
+func (e *simExecutor) tuple(t *Tuple) {
+	tr := e.rt.tr
+	if tr == nil || !tr.Sampled(t.Root) {
+		e.chargeTupleOverhead(t)
+		e.runTuple(t)
+		return
+	}
+	start, pre := e.now(), e.costs
+	e.chargeTupleOverhead(t)
+	if e.isSink {
+		e2e := e.now() - sim.Cycles(t.Born)
+		if e2e < 0 {
+			e2e = 0
+		}
+		tr.Sink(e.global, e.node.Name, t.Root, e.now(), e2e)
+	}
+	e.runTuple(t)
+	tr.Execute(e.global, e.node.Name, t.Root, start, e.now()-start, pre, e.costs)
+}
+
+func (e *simExecutor) chargeEmit(t *Tuple) {
+	e.chargeEmitted(t, e.node.Profile.UopsPerEmit, 3)
+}
+
+func (e *simExecutor) chargeAckEmit(t *Tuple) {
+	e.chargeEmitted(t, e.node.Profile.UopsPerEmit+120, 2)
+}
+
+// snapshot charges a checkpoint of operator state at an aligned barrier.
+func (e *simExecutor) snapshot(id int64) {
 	p := &e.node.Profile
 	sys := &e.rt.cfg.System
 	snapUops := int(sys.SnapshotUopsPerStateByte * float64(p.StateBytes))
@@ -658,80 +476,16 @@ func (e *simExecutor) handleBarrier(id int64) {
 			e.access(e.stateBase+uint64(off), 8)
 		}
 	}
-	e.broadcastBarrier(id)
 	if tr := e.rt.tr; tr != nil {
 		tr.Barrier(e.global, e.node.Name, id, e.now())
 	}
 }
 
-// simCtx implements Context for the simulated runtime.
-type simCtx struct {
-	ex       *simExecutor
-	curInput *Tuple
-	inOp     string
-	inStream string
-}
+// The cost-charging half of Context.
 
-func (c *simCtx) Emit(values ...Value) { c.EmitTo(DefaultStream, values...) }
+func (e *simExecutor) Work(uops, branches int) { e.compute(uops, branches) }
 
-func (c *simCtx) EmitTo(stream string, values ...Value) {
-	e := c.ex
-	if _, ok := e.node.OutStream(stream); !ok {
-		panic(fmt.Sprintf("engine: %q emits to undeclared stream %q", e.node.Name, stream))
-	}
-	t := Tuple{Values: values, Size: int32(TupleBytes(values))}
-	if c.curInput != nil {
-		t.Born = c.curInput.Born
-		t.Root = c.curInput.Root
-	} else {
-		t.Born = int64(e.now())
-		if e.node.IsSource() {
-			if rate := e.rt.cfg.SourceRate; rate > 0 && !e.rt.cfg.CoordinatedOmission && stream != AckStream {
-				// Open-loop: stamp the *scheduled* emission instant, not the
-				// actual one. When backpressure stalls the throttled source,
-				// the wait the schedule would have imposed on a real client
-				// stays inside the measured latency instead of being
-				// silently forgiven (coordinated omission). The schedule
-				// base matches the nextEmit pacing base (first invocation's
-				// step start), so an unloaded source stamps ~the actual
-				// instant and closed-loop behavior is untouched.
-				if e.bornStep == 0 {
-					e.bornSched = float64(e.stepAt)
-					e.bornStep = float64(e.rt.cfg.Spec.ClockHz) / rate
-				}
-				t.Born = int64(e.bornSched)
-				e.bornSched += e.bornStep
-			}
-			e.rt.rootCtr++
-			t.Root = e.rt.rootCtr
-			if tr := e.rt.tr; tr != nil {
-				tr.SpoutEmit(t.Root)
-			}
-		}
-		// Non-source emissions without an input anchor (e.g. Flush) are
-		// unanchored, as in Storm: Root stays 0 and is never ack-tracked.
-	}
-	// Output data is written to the producer's local memory (Fig 3 step 1).
-	t.Addr = e.alloc(int(t.Size))
-	e.write(t.Addr, int(t.Size))
-	e.compute(e.node.Profile.UopsPerEmit, 3)
-	t.EmitAt = int64(e.now())
-	if e.node.IsSource() && stream != AckStream {
-		e.rt.sourceEvents++
-	}
-	e.buffers[stream] = append(e.buffers[stream], t)
-}
-
-func (c *simCtx) ExecutorID() int         { return c.ex.index }
-func (c *simCtx) Parallelism() int        { return c.ex.node.Parallelism }
-func (c *simCtx) OperatorName() string    { return c.ex.node.Name }
-func (c *simCtx) Rand() *rand.Rand        { return c.ex.rng }
-func (c *simCtx) Input() (string, string) { return c.inOp, c.inStream }
-
-func (c *simCtx) Work(uops, branches int) { c.ex.compute(uops, branches) }
-
-func (c *simCtx) ScanState(bytes int) {
-	e := c.ex
+func (e *simExecutor) ScanState(bytes int) {
 	if e.node.Profile.StateBytes <= 0 || bytes <= 0 {
 		return
 	}
@@ -741,8 +495,7 @@ func (c *simCtx) ScanState(bytes int) {
 	e.consumed += e.rt.machine.StreamAccess(e.curCore, e.stateBase, bytes, e.now(), &e.costs)
 }
 
-func (c *simCtx) ScanScratch(bytes int) {
-	e := c.ex
+func (e *simExecutor) ScanScratch(bytes int) {
 	if bytes <= 0 {
 		return
 	}
@@ -753,8 +506,7 @@ func (c *simCtx) ScanScratch(bytes int) {
 	e.consumed += e.rt.machine.StreamAccess(e.curCore, e.scratchBase, bytes, e.now(), &e.costs)
 }
 
-func (c *simCtx) AccessState(bytes int) {
-	e := c.ex
+func (e *simExecutor) AccessState(bytes int) {
 	p := &e.node.Profile
 	if p.StateBytes <= 0 || bytes <= 0 {
 		return

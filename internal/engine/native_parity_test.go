@@ -12,34 +12,9 @@ import (
 // parity contract behind the simulator-validation loop — if the runtimes
 // diverge on *what* flows, comparing *how fast* it flows is meaningless.
 func TestNativeMatchesSimCounts(t *testing.T) {
-	// Topology shapes under test: the default word count, the same pipeline
-	// under a non-default parallelism vector (the shape the joint search's
-	// ParallelismOverride produces), and that scaled pipeline with its
-	// chainable pair fused — parity must hold across parallelism and
-	// chaining, not just the seed shape.
-	shapes := []struct {
-		name  string
-		build func() *Topology
-	}{
-		{"default", func() *Topology {
-			return wcTopology(100, func() Operator {
-				return ProcessFunc(func(Context, Tuple) {})
-			})
-		}},
-		{"scaled", func() *Topology {
-			return wcScaledTopology(100, 2, 4, 3)
-		}},
-		{"scaled+chain", func() *Topology {
-			chained, _, err := ChainTopology(wcScaledTopology(100, 2, 4, 3))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return chained
-		}},
-	}
 	for _, sys := range []SystemProfile{Storm(), Flink()} {
 		for _, batch := range []int{1, 4} {
-			for _, shape := range shapes {
+			for _, shape := range parityShapes(t) {
 				sim, err := RunSim(shape.build(), SimConfig{System: sys, BatchSize: batch, Seed: 11, Sockets: 1})
 				if err != nil {
 					t.Fatal(err)
@@ -66,6 +41,69 @@ func TestNativeMatchesSimCounts(t *testing.T) {
 					}
 					if got := natOps[op]; got != want {
 						t.Errorf("%s: operator %q input tuples sim %d native %d", name, op, want, got)
+					}
+				}
+			}
+		}
+	}
+}
+
+type parityShape struct {
+	name  string
+	build func() *Topology
+}
+
+// parityShapes are the topology shapes the sim/native parity tests run:
+// the default word count, the same pipeline under a non-default
+// parallelism vector (the shape the joint search's ParallelismOverride
+// produces), and that scaled pipeline with its chainable pair fused —
+// parity must hold across parallelism and chaining, not just the seed
+// shape.
+func parityShapes(t *testing.T) []parityShape {
+	return []parityShape{
+		{"default", func() *Topology {
+			return wcTopology(100, func() Operator {
+				return ProcessFunc(func(Context, Tuple) {})
+			})
+		}},
+		{"scaled", func() *Topology {
+			return wcScaledTopology(100, 2, 4, 3)
+		}},
+		{"scaled+chain", func() *Topology {
+			chained, _, err := ChainTopology(wcScaledTopology(100, 2, 4, 3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return chained
+		}},
+	}
+}
+
+// TestNativeMatchesSimEdges extends the parity contract to per-edge
+// traffic: both runtimes count deliveries in the shared executor core, so
+// every producer→consumer edge must carry the same tuples and payload
+// bytes in both, in the same (From, To) order.
+func TestNativeMatchesSimEdges(t *testing.T) {
+	for _, sys := range []SystemProfile{Storm(), Flink()} {
+		for _, batch := range []int{1, 4} {
+			for _, shape := range parityShapes(t) {
+				sim, err := RunSim(shape.build(), SimConfig{System: sys, BatchSize: batch, Seed: 11, Sockets: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				nat, err := RunNative(shape.build(), NativeConfig{System: sys, BatchSize: batch, Seed: 11})
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := sys.Name + "/batch=" + string(rune('0'+batch)) + "/" + shape.name
+				if len(sim.Edges) != len(nat.Edges) {
+					t.Errorf("%s: %d edges in sim, %d native", name, len(sim.Edges), len(nat.Edges))
+					continue
+				}
+				for i, se := range sim.Edges {
+					ne := nat.Edges[i]
+					if se.From != ne.From || se.To != ne.To || se.Tuples != ne.Tuples || se.Bytes != ne.Bytes {
+						t.Errorf("%s: edge %d sim %+v native %+v", name, i, se, ne)
 					}
 				}
 			}

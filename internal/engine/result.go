@@ -33,7 +33,7 @@ type ExecStat struct {
 func (e *ExecStat) Profile() *profiler.Profile { return profiler.FromCosts(e.Costs) }
 
 // EdgeStat aggregates the traffic one producer executor delivered to one
-// consumer executor's input queue (sim only). Executors are identified by
+// consumer executor, in either runtime. Executors are identified by
 // global index (see ExecGraph); Bytes counts tuple payload. The placement
 // cost model calibrates per-edge communication volumes from these.
 type EdgeStat struct {
@@ -89,8 +89,8 @@ type Result struct {
 	GCShare  float64
 
 	Executors []ExecStat
-	// Edges is the per-edge delivered-traffic account (sim only), sorted
-	// by (From, To). Together with Executors' Costs it is the calibration
+	// Edges is the per-edge delivered-traffic account, sorted by
+	// (From, To). Together with Executors' Costs it is the calibration
 	// input for the placement cost model (internal/place).
 	Edges []EdgeStat
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -226,7 +227,7 @@ func (e *chanRefExec) endInvocation() {
 			if n.Name == AckStream {
 				cap = 0
 			}
-			for _, b := range ed.router.route(buf, cap) {
+			for _, b := range chanRefRoute(ed.router, buf, cap) {
 				if e.ackTracking() && !ed.system {
 					for i := range b.Tuples {
 						edge := e.rng.Int63()
@@ -258,7 +259,7 @@ func (e *chanRefExec) flushAcks() {
 	buf := e.buffers[AckStream]
 	e.buffers[AckStream] = nil
 	for _, ed := range e.edges[AckStream] {
-		for _, b := range ed.router.route(buf, 0) {
+		for _, b := range chanRefRoute(ed.router, buf, 0) {
 			ed.consumers[b.Consumer].in <- Msg{
 				FromGlobal: e.global, FromOp: e.node.Name,
 				Stream: AckStream, Batch: b.Tuples,
@@ -310,12 +311,70 @@ func (c *chanRefCtx) EmitTo(stream string, values ...Value) {
 	c.ex.buffers[stream] = append(c.ex.buffers[stream], t)
 }
 
-func (c *chanRefCtx) ExecutorID() int      { return c.ex.index }
-func (c *chanRefCtx) Parallelism() int     { return c.ex.node.Parallelism }
-func (c *chanRefCtx) OperatorName() string { return c.ex.node.Name }
+func (c *chanRefCtx) ExecutorID() int         { return c.ex.index }
+func (c *chanRefCtx) Parallelism() int        { return c.ex.node.Parallelism }
+func (c *chanRefCtx) OperatorName() string    { return c.ex.node.Name }
 func (c *chanRefCtx) Work(uops, branches int) {}
 func (c *chanRefCtx) AccessState(bytes int)   {}
 func (c *chanRefCtx) ScanState(bytes int)     {}
 func (c *chanRefCtx) ScanScratch(bytes int)   {}
 func (c *chanRefCtx) Rand() *rand.Rand        { return c.ex.rng }
 func (c *chanRefCtx) Input() (string, string) { return "", "" }
+
+// chanRefRoute is the pre-ring router, frozen with the baseline: it
+// builds fresh per-consumer groups (a map for fields grouping) on every
+// call and returns batches of at most batchCap tuples (<= 0: unbounded).
+func chanRefRoute(r *edgeRouter, tuples []Tuple, batchCap int) []AddressedBatch {
+	if len(tuples) == 0 {
+		return nil
+	}
+	var out []AddressedBatch
+	switch r.group.Kind {
+	case GroupShuffle:
+		groups := make([][]Tuple, r.consumers)
+		for _, t := range tuples {
+			groups[r.rr] = append(groups[r.rr], t)
+			r.rr = (r.rr + 1) % r.consumers
+		}
+		for c, g := range groups {
+			if len(g) > 0 {
+				out = append(out, chanRefCap(c, g, batchCap)...)
+			}
+		}
+	case GroupFields:
+		cache := make(map[int][]Tuple)
+		for _, t := range tuples {
+			k := int(HashFields(t.Values, r.fieldIdx) % uint64(r.consumers))
+			cache[k] = append(cache[k], t)
+		}
+		keys := make([]int, 0, len(cache))
+		for k := range cache {
+			keys = append(keys, k)
+		}
+		sort.Ints(keys)
+		for _, k := range keys {
+			out = append(out, chanRefCap(k, cache[k], batchCap)...)
+		}
+	case GroupGlobal:
+		out = chanRefCap(0, tuples, batchCap)
+	case GroupAll:
+		for c := 0; c < r.consumers; c++ {
+			cp := make([]Tuple, len(tuples))
+			copy(cp, tuples)
+			out = append(out, chanRefCap(c, cp, batchCap)...)
+		}
+	}
+	return out
+}
+
+func chanRefCap(consumer int, tuples []Tuple, batchCap int) []AddressedBatch {
+	if batchCap <= 0 || len(tuples) <= batchCap {
+		return []AddressedBatch{{Consumer: consumer, Tuples: tuples}}
+	}
+	var out []AddressedBatch
+	for i := 0; i < len(tuples); i += batchCap {
+		end := min(i+batchCap, len(tuples))
+		out = append(out, AddressedBatch{Consumer: consumer, Tuples: tuples[i:end]})
+	}
+	return out
+}

@@ -236,9 +236,7 @@ func TestNativeEmitToUndeclaredStreamPanics(t *testing.T) {
 	// invoke the context directly.
 	rt := &nativeRuntime{cfg: NativeConfig{System: Flink(), BatchSize: 1, QueueCap: 8, LatencySampleEvery: 16}, topo: mustExec(topo, Flink())}
 	rt.build()
-	src := rt.byOp["src"][0]
-	src.ctx = &nativeCtx{ex: src}
-	src.ctx.EmitTo("nosuch", "x")
+	rt.execs[0].EmitTo("nosuch", "x")
 }
 
 type badSource struct{}

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"streamscale/internal/hw"
@@ -155,8 +154,8 @@ type simRuntime struct {
 	meta    *jvm.Metaspace
 	profile *profiler.Profile
 
+	ecfg        execConfig
 	execs       []*simExecutor
-	byOp        map[string][]*simExecutor
 	sharedState map[string]uint64 // operator -> shared state base address
 
 	hotRegions  []*codeRegion
@@ -169,31 +168,10 @@ type simRuntime struct {
 	frameworkClasses []uint64
 
 	rootCtr      int64
-	sourceEvents int64
-	sinkEvents   int64
 	enabledCores []int
-
-	// edgeTraffic accumulates delivered traffic per (producer, consumer)
-	// executor pair. The kernel runs every executor on one goroutine, so a
-	// plain map is race-free; extraction into Result.Edges sorts the keys.
-	edgeTraffic map[[2]int]*EdgeStat
 
 	// tr mirrors cfg.Trace for the executors' nil-guarded trace hooks.
 	tr *trace.Tracer
-}
-
-// noteDelivery records one successfully enqueued message on the edge
-// (from, to), with its data-tuple count and payload bytes.
-func (rt *simRuntime) noteDelivery(from, to, tuples, bytes int) {
-	key := [2]int{from, to}
-	es := rt.edgeTraffic[key]
-	if es == nil {
-		es = &EdgeStat{From: from, To: to}
-		rt.edgeTraffic[key] = es
-	}
-	es.Msgs++
-	es.Tuples += int64(tuples)
-	es.Bytes += int64(bytes)
 }
 
 // RunSim executes the topology on the simulated machine and returns both
@@ -245,9 +223,15 @@ func (rt *simRuntime) build() error {
 	rt.heap = jvm.NewHeap(cfg.Spec.Sockets, cfg.GC)
 	rt.meta = jvm.NewMetaspace(4096)
 	rt.profile = profiler.New()
-	rt.byOp = make(map[string][]*simExecutor)
+	rt.ecfg = execConfig{
+		batchSize:     cfg.BatchSize,
+		ack:           cfg.System.AckEnabled,
+		sourceRate:    cfg.SourceRate,
+		coordOmission: cfg.CoordinatedOmission,
+		sampleEvery:   cfg.LatencySampleEvery,
+		hz:            cfg.Spec.ClockHz,
+	}
 	rt.sharedState = make(map[string]uint64)
-	rt.edgeTraffic = make(map[[2]int]*EdgeStat)
 	rt.userRegions = make(map[string]*codeRegion)
 	rt.enabledCores = cfg.EnabledCores()
 
@@ -263,6 +247,7 @@ func (rt *simRuntime) build() error {
 	}
 
 	sockets := cfg.EnabledSockets()
+	var cores []*executor
 	global := 0
 	for _, n := range rt.topo.Nodes() {
 		rt.userRegions[n.Name] = rt.newRegion("op:"+n.Name, n.Profile.CodeBytes)
@@ -279,27 +264,11 @@ func (rt *simRuntime) build() error {
 				e.in = newSimQueue(cfg.QueueCap, base, rt.sched)
 			}
 			rt.execs = append(rt.execs, e)
-			rt.byOp[n.Name] = append(rt.byOp[n.Name], e)
+			cores = append(cores, &e.executor)
 			global++
 		}
 	}
-	// Wire edges and count producers.
-	for _, n := range rt.topo.Nodes() {
-		for _, ed := range rt.topo.Consumers(n.Name) {
-			ss, _ := n.OutStream(ed.Sub.Stream)
-			for _, pe := range rt.byOp[n.Name] {
-				pe.edges[ed.Sub.Stream] = append(pe.edges[ed.Sub.Stream], &simEdge{
-					router:    newEdgeRouter(ss, ed.Sub, ed.Consumer.Parallelism),
-					stream:    ed.Sub.Stream,
-					consumers: rt.byOp[ed.Consumer.Name],
-					system:    ed.Consumer.System,
-				})
-			}
-			for _, ce := range rt.byOp[ed.Consumer.Name] {
-				ce.nProducers += n.Parallelism
-			}
-		}
-	}
+	wire(rt.topo, cores, func(*executor) *conn { return &conn{} })
 	// Spawn threads.
 	for _, e := range rt.execs {
 		affinity := rt.enabledCores
@@ -383,8 +352,6 @@ func (rt *simRuntime) run(app string) (*Result, error) {
 	res := &Result{
 		App:            app,
 		System:         rt.cfg.System.Name,
-		SourceEvents:   rt.sourceEvents,
-		SinkEvents:     rt.sinkEvents,
 		ElapsedSeconds: elapsed.Seconds(clock),
 		Latency:        metrics.NewHistogram(1 << 16),
 		Profile:        rt.profile,
@@ -403,13 +370,10 @@ func (rt *simRuntime) run(app string) (*Result, error) {
 			res.OperatorProfiles[e.node.Name] = opProf
 		}
 		opProf.Add(&e.costs)
-		// Exact bucket-count merge: unlike re-observing Samples(), no
-		// sampled observation (and in particular no tail mass) is lost.
-		res.Latency.Merge(e.latency)
-		stat := ExecStat{
-			Op: e.node.Name, Index: e.index, Socket: e.stateSocket,
-			Tuples: e.tuples, Invocations: e.invocations, Costs: e.costs,
-		}
+		e.addTo(res)
+		stat := &res.Executors[len(res.Executors)-1]
+		stat.Socket = e.stateSocket
+		stat.Costs.AddVec(&e.costs)
 		if e.tuples > 0 {
 			// "Process latency" per event, as Fig 10 reports it: the wall
 			// time each event occupies at this executor, including the
@@ -421,14 +385,9 @@ func (rt *simRuntime) run(app string) (*Result, error) {
 			}
 			stat.MeanTupleMs = sim.Cycles(int64(span) / e.tuples).Millis(clock)
 		}
-		res.Executors = append(res.Executors, stat)
-		if a, ok := e.op.(*Acker); ok {
-			res.AckerCompleted += a.Completed()
-		}
 	}
 	rt.profile.GCCycles = rt.heap.GCCycles()
 	res.GCShare = rt.profile.GCShare()
-	res.Edges = sortedEdges(rt.edgeTraffic)
 	if rt.tr != nil {
 		// Fold the executors' Table II charges per operator, in topology
 		// node order (deterministic). The totals reconcile exactly against
@@ -437,42 +396,14 @@ func (rt *simRuntime) run(app string) (*Result, error) {
 		ops := make([]trace.OpCost, 0, len(rt.topo.Nodes()))
 		for _, n := range rt.topo.Nodes() {
 			oc := trace.OpCost{Op: n.Name}
-			for _, e := range rt.byOp[n.Name] {
-				oc.Costs.AddVec(&e.costs)
+			for _, e := range rt.execs {
+				if e.node == n {
+					oc.Costs.AddVec(&e.costs)
+				}
 			}
 			ops = append(ops, oc)
 		}
 		rt.tr.Finish(res.ChargedCycles, ops)
 	}
 	return res, nil
-}
-
-// sortedEdges flattens the edge-traffic map in deterministic (From, To)
-// order.
-func sortedEdges(m map[[2]int]*EdgeStat) []EdgeStat {
-	keys := make([][2]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	out := make([]EdgeStat, len(keys))
-	for i, k := range keys {
-		out[i] = *m[k]
-	}
-	return out
-}
-
-// sortedRoots returns map keys in deterministic order.
-func sortedRoots(m map[int64]int64) []int64 {
-	keys := make([]int64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
 }

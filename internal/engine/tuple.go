@@ -5,7 +5,8 @@
 // runtime (garbage-collected tuple allocation, pointer-chasing data access).
 //
 // A Topology is a graph of operators built with NewTopology. It can execute
-// on two runtimes: RunNative uses real goroutines and channels and measures
+// on two runtimes that share one executor core (executor.go): RunNative
+// uses one goroutine per executor connected by lock-free rings and measures
 // wall-clock performance; RunSim executes the same operators on a simulated
 // multi-socket machine (internal/sim + internal/hw) and produces the
 // cycle-accurate breakdowns of the paper's methodology.
