@@ -115,4 +115,26 @@ func BenchmarkCacheAccessSeed(b *testing.B) {
 			c.AccessV(uint64(i)%span, 0)
 		}
 	})
+	b.Run("llc-hit-heavy", func(b *testing.B) {
+		c := newSeedCache(20<<20, 64, 20)
+		hot := len(c.sets) * 10
+		for i := 0; i < hot; i++ {
+			c.AccessV(uint64(i), 0)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.AccessV(uint64(i%hot), 0)
+		}
+	})
+	b.Run("llc-miss-heavy", func(b *testing.B) {
+		c := newSeedCache(20<<20, 64, 20)
+		const span = 1 << 22
+		for i := 0; i < len(c.sets)*c.assoc; i++ {
+			c.AccessV(span+uint64(i), 0)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.AccessV(uint64(i)%span, 0)
+		}
+	})
 }
