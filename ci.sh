@@ -23,6 +23,11 @@ go run ./cmd/dsplint ./...
 # -timeout raised above the go test default (10m): the race detector's
 # ~10x slowdown pushes internal/bench past 10 minutes on small hosts.
 go test -race -timeout 45m ./...
+# Cache-model fuzz stage: FuzzCacheEquivalence replays random operation
+# sequences against hw.Cache and a map-plus-ticks LRU reference model and
+# fails on any difference in results, counters or OnEvict order. Plain
+# `go test` runs only its committed seed corpus; this explores beyond it.
+go test -run '^$' -fuzz FuzzCacheEquivalence -fuzztime 20s ./internal/hw
 # Cache-equivalence gate: the same sweep run cold (simulate + persist)
 # and warm (replay from the -cache directory, zero simulations) must
 # produce byte-identical experiment tables. Run without -race so it

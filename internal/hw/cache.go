@@ -6,31 +6,22 @@ package hw
 // usable; construct with NewCache.
 //
 // The model is the simulator's hottest code: every simulated memory access
-// probes up to four levels. Each set keeps an MRU way hint — the way of
-// its most recent hit — plus a shadow copy of that way's tag in a
-// set-indexed array. A lookup probes the shadow tag first: a probe hit
-// (the common case for the looping code fetches the simulator issues)
-// touches only the hinted way, while a probe miss costs one set-indexed
-// compare and a predictable branch before the ordinary scan, so
-// hint-averse access patterns (round-robin probing where consecutive
-// lookups in a set never repeat a block) pay almost nothing for it. The
-// probe never decides a lookup by itself: hintBlock[s] always mirrors the
-// hinted way's tag, so a shadow-tag match is exactly a tag match, and
-// hit/miss/eviction decisions — and therefore simulation results — stay
-// bit-identical to the plain scan.
+// probes up to four levels, so its layout is chosen for the host memory a
+// probe touches. All ways live in one set-major array of 16-byte entries
+// (a 20-way LLC set spans five host cache lines), and a 3-byte header per
+// set threads the set's filled ways into a doubly linked recency list. A
+// lookup probes the list head (the MRU way) first, then scans only the
+// ways filled since the last Reset; a hit moves its way to the head, and a
+// miss takes a never-used way while the set still has one and the list
+// tail otherwise, so the victim is found without a second pass. Stored
+// tags are complemented block numbers, so the zero value of a way is
+// "invalid" and of a header "empty": NewCache writes nothing, so on fresh
+// memory the host never faults in the pages of sets a run does not touch.
 type Cache struct {
-	sets    [][]way
+	ways    []way    // set s is ways[s*assoc : (s+1)*assoc]
+	sets    []setHdr // one recency list per set
 	setMask uint64
 	assoc   int
-
-	// hints holds one MRU hint per set: a shadow copy of the most
-	// recently hit way's tag plus a pointer to that way (tag noBlock when
-	// the hint is invalid). Invariant: hints[s].block != noBlock implies
-	// hints[s].w is a valid way of set s holding that block — every site
-	// that installs or invalidates a block restores it, so a shadow match
-	// never names a wrong way. One struct per set keeps the probe to a
-	// single bounds-checked load.
-	hints []setHint
 
 	blockBytes int // granularity CacheFor was sized with (0 if NewCache)
 
@@ -41,30 +32,26 @@ type Cache struct {
 	// OnEvict, if non-nil, is called with each evicted block. The machine
 	// uses this to keep the decoded-µop cache coherent with L1I.
 	OnEvict func(block uint64)
-
-	tick uint64 // logical LRU clock
 }
 
 type way struct {
-	block uint64 // tag, or noBlock when the way is invalid
-	used  uint64 // last-use tick; 0 = never used (victim scan prefers it)
-	ver   uint32 // coherence version the copy was filled at
+	tag        uint64 // ^block, or 0 when the way holds nothing
+	ver        uint32 // coherence version the copy was filled at
+	next, prev uint8  // recency-list neighbours toward the tail / the head
 }
 
-// setHint is a set's MRU hint: the shadow tag and the way it shadows.
-type setHint struct {
-	block uint64 // tag of the most recently hit way, or noBlock
-	w     *way   // the way holding block; nil only while block == noBlock
+// setHdr is a set's recency list over its first fill ways: head is the
+// most recently used way, tail the least. Invalidated ways are moved to
+// the tail, so the tail end of the list holds every invalid filled way.
+// The links of head.prev and tail.next are never read.
+type setHdr struct {
+	head, tail uint8
+	fill       uint8 // ways[0:fill] have been used since the last Reset
 }
-
-// noBlock marks an invalid way or shadow tag. Real keys never reach it:
-// data and code tags are addresses divided by the block size (< 2^49),
-// pages < 2^36 — so tagging invalid ways with noBlock lets every scan
-// match on the tag alone, with no separate validity compare per way.
-const noBlock = ^uint64(0)
 
 // NewCache builds a cache with the given number of sets and associativity.
-// Sets must be a power of two.
+// Sets must be a power of two, and the associativity at most 255 (the
+// recency list links ways by byte index).
 func NewCache(sets, assoc int) *Cache {
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic("hw: cache sets must be a positive power of two")
@@ -72,23 +59,15 @@ func NewCache(sets, assoc int) *Cache {
 	if assoc <= 0 {
 		panic("hw: cache associativity must be positive")
 	}
-	c := &Cache{
+	if assoc > 255 {
+		panic("hw: cache associativity must be at most 255")
+	}
+	return &Cache{
+		ways:    make([]way, sets*assoc),
+		sets:    make([]setHdr, sets),
 		setMask: uint64(sets - 1),
 		assoc:   assoc,
-		hints:   make([]setHint, sets),
 	}
-	c.sets = make([][]way, sets)
-	for i := range c.sets {
-		ws := make([]way, assoc)
-		for j := range ws {
-			ws[j].block = noBlock
-		}
-		c.sets[i] = ws
-	}
-	for i := range c.hints {
-		c.hints[i].block = noBlock
-	}
-	return c
 }
 
 // CacheFor builds a cache sized capacityBytes with blockBytes blocks and the
@@ -128,6 +107,18 @@ func (c *Cache) EffectiveBytes() int {
 	return c.Sets() * c.assoc * c.blockBytes
 }
 
+// locate returns block's set header, the index of the set's first way,
+// and the stored form of its tag. Real keys never reach ^0 (data and code
+// tags are addresses divided by the block size, < 2^49; pages < 2^36), so
+// the stored tag is never 0.
+func (c *Cache) locate(block uint64) (*setHdr, int, uint64) {
+	si := block & c.setMask
+	return &c.sets[si], int(si) * c.assoc, ^block
+}
+
+// view returns the ways of the set whose first way is at base.
+func (c *Cache) view(base int) []way { return c.ways[base : base+c.assoc] }
+
 // Access looks up a block, inserting it on miss (evicting LRU if needed),
 // and reports whether it hit. Equivalent to AccessV with version 0.
 //
@@ -141,29 +132,26 @@ func (c *Cache) Access(block uint64) bool { return c.AccessV(block, 0) }
 //
 //dsp:hotpath
 func (c *Cache) WriteAccessV(block uint64, ver uint32) bool {
-	si := block & c.setMask
-	h := &c.hints[si]
-	if h.block == block {
-		if w := h.w; w.ver == ver || w.ver == ver-1 {
-			c.tick++
+	h, base, tag := c.locate(block)
+	if w := &c.ways[base+int(h.head)]; w.tag == tag {
+		hit := w.ver == ver || w.ver == ver-1
+		c.count(hit)
+		w.ver = ver
+		return hit
+	}
+	set := c.view(base)
+	filled := set[:h.fill]
+	for i := range filled {
+		if w := &filled[i]; w.tag == tag {
+			hit := w.ver == ver || w.ver == ver-1
+			c.count(hit)
 			w.ver = ver
-			w.used = c.tick
-			c.hits++
-			return true
+			promote(h, set, uint8(i))
+			return hit
 		}
 	}
-	set := c.sets[si]
-	for i := range set {
-		w := &set[i]
-		if w.block == block && (w.ver == ver || w.ver == ver-1) {
-			c.tick++
-			w.ver = ver
-			w.used = c.tick
-			c.hits++
-			return true
-		}
-	}
-	return c.AccessV(block, ver)
+	c.install(h, set, tag, ver)
+	return false
 }
 
 // AccessV looks up a block requiring coherence version ver: a resident copy
@@ -173,50 +161,25 @@ func (c *Cache) WriteAccessV(block uint64, ver uint32) bool {
 //
 //dsp:hotpath
 func (c *Cache) AccessV(block uint64, ver uint32) bool {
-	c.tick++
-	si := block & c.setMask
-	h := &c.hints[si]
-	if h.block == block {
-		if w := h.w; w.ver == ver {
-			w.used = c.tick
-			c.hits++
-			return true
-		}
+	h, base, tag := c.locate(block)
+	if w := &c.ways[base+int(h.head)]; w.tag == tag {
+		hit := w.ver == ver
+		c.count(hit)
+		w.ver = ver
+		return hit
 	}
-	set := c.sets[si]
-	var victim *way
-	for i := range set {
-		w := &set[i]
-		if w.block == block {
-			if w.ver == ver {
-				w.used = c.tick
-				c.hits++
-				return true
-			}
-			// Stale copy: refill in place at the current version.
-			c.misses++
+	set := c.view(base)
+	filled := set[:h.fill]
+	for i := range filled {
+		if w := &filled[i]; w.tag == tag {
+			hit := w.ver == ver
+			c.count(hit)
 			w.ver = ver
-			w.used = c.tick
-			h.block = block
-			h.w = w
-			return false
-		}
-		if victim == nil || w.used < victim.used {
-			victim = w
+			promote(h, set, uint8(i))
+			return hit
 		}
 	}
-	c.misses++
-	if victim.used != 0 {
-		c.evictions++
-		if c.OnEvict != nil {
-			c.OnEvict(victim.block)
-		}
-	}
-	victim.block = block
-	victim.used = c.tick
-	victim.ver = ver
-	h.block = block
-	h.w = victim
+	c.install(h, set, tag, ver)
 	return false
 }
 
@@ -226,65 +189,120 @@ func (c *Cache) AccessV(block uint64, ver uint32) bool {
 // machine uses it on an L1I miss, where the decoded-µop entry must be
 // dropped and immediately re-decoded. If the block was resident it is
 // refreshed in place; the pair could land it on a different empty way, but
-// way identity is unobservable (lookups are tag-keyed, LRU compares used
-// ticks, and a refill over an empty or self way never fires OnEvict).
+// way identity is unobservable (lookups are tag-keyed, the recency list
+// orders ways by use, and a refill over an empty or self way never fires
+// OnEvict).
 //
 //dsp:hotpath
 func (c *Cache) Replace(block uint64, ver uint32) {
-	c.tick++
-	si := block & c.setMask
-	set := c.sets[si]
-	var victim *way
-	for i := range set {
-		w := &set[i]
-		if w.block == block {
-			victim = w
-			break
-		}
-		if victim == nil || w.used < victim.used {
-			victim = w
+	h, base, tag := c.locate(block)
+	set := c.view(base)
+	filled := set[:h.fill]
+	for i := range filled {
+		if w := &filled[i]; w.tag == tag {
+			c.misses++
+			w.ver = ver
+			promote(h, set, uint8(i))
+			return
 		}
 	}
+	c.install(h, set, tag, ver)
+}
+
+// count books one lookup as a hit or a miss.
+//
+//dsp:hotpath
+func (c *Cache) count(hit bool) {
+	if hit {
+		c.hits++
+	} else {
+		c.misses++
+	}
+}
+
+// install fills an absent block into its set as the MRU way, counting a
+// miss. The victim is a never-used way while the set has one, else the
+// list tail: an invalid way if any filled way is invalid, the LRU block
+// otherwise. That is exactly the choice of a scan for the smallest
+// last-use tick with invalid ways at tick 0, up to which invalid way is
+// taken, and that cannot be observed.
+//
+//dsp:hotpath
+func (c *Cache) install(h *setHdr, set []way, tag uint64, ver uint32) {
 	c.misses++
-	if victim.used != 0 && victim.block != block {
-		c.evictions++
-		if c.OnEvict != nil {
-			c.OnEvict(victim.block)
+	i := h.tail
+	if int(h.fill) < len(set) {
+		// Link a fresh way in at the head. An empty set's zero header
+		// already reads head = tail = 0, so way 0 needs no special case.
+		i = h.fill
+		h.fill++
+		set[i].next = h.head
+		set[h.head].prev = i
+		h.head = i
+	} else {
+		if old := set[i].tag; old != 0 {
+			c.evictions++
+			if c.OnEvict != nil {
+				c.OnEvict(^old)
+			}
 		}
+		promote(h, set, i)
 	}
-	victim.block = block
-	victim.used = c.tick
-	victim.ver = ver
-	h := &c.hints[si]
-	h.block = block
-	h.w = victim
+	set[i].tag = tag
+	set[i].ver = ver
+}
+
+// promote moves way i to the head (MRU end) of its set's recency list.
+//
+//dsp:hotpath
+func promote(h *setHdr, set []way, i uint8) {
+	if i == h.head {
+		return
+	}
+	w := &set[i]
+	if i == h.tail {
+		h.tail = w.prev
+	} else {
+		set[w.next].prev = w.prev
+		set[w.prev].next = w.next
+	}
+	w.next = h.head
+	set[h.head].prev = i
+	h.head = i
 }
 
 // Contains reports whether a block is resident without touching LRU state.
 func (c *Cache) Contains(block uint64) bool {
-	set := c.sets[block&c.setMask]
-	for i := range set {
-		if set[i].block == block {
+	h, base, tag := c.locate(block)
+	set := c.view(base)
+	for _, w := range set[:h.fill] {
+		if w.tag == tag {
 			return true
 		}
 	}
 	return false
 }
 
-// Invalidate removes a block if present. If the set's shadow tag named
-// this block it is cleared (a block resides in at most one way, so the
-// hint necessarily points at the emptied way); probes then fall through to
-// the scan until the next hit or install re-arms the hint.
+// Invalidate removes a block if present, moving its way to the tail of the
+// recency list: once the set is full, it is the next victim.
 func (c *Cache) Invalidate(block uint64) {
-	si := block & c.setMask
-	if h := &c.hints[si]; h.block == block {
-		h.block = noBlock
-	}
-	set := c.sets[si]
-	for i := range set {
-		if set[i].block == block {
-			set[i].block = noBlock
-			set[i].used = 0
+	h, base, tag := c.locate(block)
+	set := c.view(base)
+	filled := set[:h.fill]
+	for i := range filled {
+		if w := &filled[i]; w.tag == tag {
+			w.tag = 0
+			if j := uint8(i); j != h.tail {
+				if j == h.head {
+					h.head = w.next
+				} else {
+					set[w.prev].next = w.next
+				}
+				set[w.next].prev = w.prev
+				set[h.tail].next = j
+				w.prev = h.tail
+				h.tail = j
+			}
 			return
 		}
 	}
@@ -292,15 +310,9 @@ func (c *Cache) Invalidate(block uint64) {
 
 // Reset clears contents and statistics.
 func (c *Cache) Reset() {
-	for i := range c.sets {
-		for j := range c.sets[i] {
-			c.sets[i][j] = way{block: noBlock}
-		}
-	}
-	for i := range c.hints {
-		c.hints[i] = setHint{block: noBlock}
-	}
-	c.hits, c.misses, c.evictions, c.tick = 0, 0, 0, 0
+	clear(c.ways)
+	clear(c.sets)
+	c.hits, c.misses, c.evictions = 0, 0, 0
 }
 
 // Hits returns the number of hits observed.

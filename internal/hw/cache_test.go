@@ -208,7 +208,7 @@ func TestCacheProperties(t *testing.T) {
 }
 
 func TestCachePanicsOnBadShape(t *testing.T) {
-	for _, tc := range []struct{ sets, assoc int }{{3, 2}, {0, 2}, {4, 0}} {
+	for _, tc := range []struct{ sets, assoc int }{{3, 2}, {0, 2}, {4, 0}, {1, 256}} {
 		func() {
 			defer func() {
 				if recover() == nil {

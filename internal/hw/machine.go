@@ -47,13 +47,13 @@ type coreHW struct {
 	stlb *Cache
 	uop  *Cache // decoded-µop cache, keyed by instruction block
 
-	// Instruction-footprint tracking (Fig 9): per function, the logical
-	// sequence numbers of its last invocation, plus sizes of everything
-	// executed on this core.
-	seq      uint64
-	lastExec map[uint32]uint64
-	lastInv  map[uint32]uint64
-	fnSizes  map[uint32]int
+	// Instruction-footprint tracking (Fig 9), indexed by function id (ids
+	// are dense: the engine numbers its code regions from 0): the logical
+	// sequence number of the function's last invocation on this core (0 =
+	// never) and its hot-code size. Both grow on demand.
+	seq     uint64
+	lastInv []uint64
+	fnSizes []int
 }
 
 type socketHW struct {
@@ -83,17 +83,14 @@ func NewMachine(spec MachineSpec) *Machine {
 	}
 	for c := 0; c < spec.TotalCores(); c++ {
 		core := &coreHW{
-			id:       c,
-			socket:   c / spec.CoresPerSocket,
-			l1i:      CacheFor(spec.L1I.CapacityBytes, spec.L1I.BlockBytes, spec.L1I.Assoc),
-			l1d:      CacheFor(spec.L1D.CapacityBytes, spec.L1D.BlockBytes, spec.L1D.Assoc),
-			l2:       CacheFor(spec.L2.CapacityBytes, spec.L2.BlockBytes, spec.L2.Assoc),
-			itlb:     NewCache(pow2Sets(spec.ITLB), spec.ITLB.Assoc),
-			dtlb:     NewCache(pow2Sets(spec.DTLB), spec.DTLB.Assoc),
-			stlb:     NewCache(pow2Sets(spec.STLB), spec.STLB.Assoc),
-			lastExec: make(map[uint32]uint64),
-			lastInv:  make(map[uint32]uint64),
-			fnSizes:  make(map[uint32]int),
+			id:     c,
+			socket: c / spec.CoresPerSocket,
+			l1i:    CacheFor(spec.L1I.CapacityBytes, spec.L1I.BlockBytes, spec.L1I.Assoc),
+			l1d:    CacheFor(spec.L1D.CapacityBytes, spec.L1D.BlockBytes, spec.L1D.Assoc),
+			l2:     CacheFor(spec.L2.CapacityBytes, spec.L2.BlockBytes, spec.L2.Assoc),
+			itlb:   NewCache(pow2Sets(spec.ITLB), spec.ITLB.Assoc),
+			dtlb:   NewCache(pow2Sets(spec.DTLB), spec.DTLB.Assoc),
+			stlb:   NewCache(pow2Sets(spec.STLB), spec.STLB.Assoc),
 		}
 		// The decoded-µop cache can be disabled (UopCacheBytes = 0) for the
 		// D-ICache ablation: every fetch then pays legacy decode.
@@ -394,21 +391,30 @@ func (m *Machine) ChargedCycles() sim.Cycles { return m.charged }
 // It returns -1 for the first invocation of fn on that core.
 func (m *Machine) NoteInvocation(core int, fn uint32, size int) int {
 	c := m.cores[core]
+	if int(fn) >= len(c.lastInv) {
+		c.growFns(int(fn) + 1)
+	}
 	c.seq++
 	c.fnSizes[fn] = size
-	lastInv, seen := c.lastInv[fn]
 	footprint := -1
-	if seen {
+	if last := c.lastInv[fn]; last != 0 {
+		// Sum the functions invoked since fn last was. fn's own entry
+		// equals last, so fn never counts itself.
 		footprint = 0
-		for g, execSeq := range c.lastExec {
-			if g != fn && execSeq > lastInv {
+		for g, seq := range c.lastInv {
+			if seq > last {
 				footprint += c.fnSizes[g]
 			}
 		}
 	}
 	c.lastInv[fn] = c.seq
-	c.lastExec[fn] = c.seq
 	return footprint
+}
+
+// growFns extends the per-function tables to hold ids below n.
+func (c *coreHW) growFns(n int) {
+	c.lastInv = append(c.lastInv, make([]uint64, n-len(c.lastInv))...)
+	c.fnSizes = append(c.fnSizes, make([]int, n-len(c.fnSizes))...)
 }
 
 // DRAMUtilization returns the mean DRAM channel utilization over the given

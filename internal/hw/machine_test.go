@@ -192,6 +192,19 @@ func TestNoteInvocationFootprint(t *testing.T) {
 	if got := m.NoteInvocation(1, fnA, 1000); got != -1 {
 		t.Fatalf("other-core first invocation = %d, want -1", got)
 	}
+	// A large, sparse id: the ids between are never invoked and must
+	// contribute nothing, and the earlier functions still count.
+	const fnBig = 1 << 16
+	if got := m.NoteInvocation(0, fnBig, 4000); got != -1 {
+		t.Fatalf("sparse-id first invocation = %d, want -1", got)
+	}
+	m.NoteInvocation(0, fnB, 500)
+	if got := m.NoteInvocation(0, fnA, 1000); got != 4500 {
+		t.Fatalf("footprint = %d, want 4500 (big+B executed in between)", got)
+	}
+	if got := m.NoteInvocation(0, fnBig, 4000); got != 1500 {
+		t.Fatalf("sparse-id footprint = %d, want 1500 (B+A executed in between)", got)
+	}
 }
 
 func TestChannelQueueing(t *testing.T) {

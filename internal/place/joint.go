@@ -615,22 +615,12 @@ func (w *Workload) SearchJoint(opts JointOptions) (*JointResult, error) {
 		execs  int
 	}
 	var pool []screened
-	worstKept := func() float64 {
-		if len(pool) < opts.TopVectors {
-			return 1e308
-		}
-		scores := make([]float64, len(pool))
-		for i, s := range pool {
-			scores[i] = s.greedy.Score
-		}
-		sort.Float64s(scores)
-		return scores[opts.TopVectors-1]
-	}
+	kept := newKthSmallest(opts.TopVectors) // greedy scores of the pool
 	for vi, par := range vectors {
 		res.VectorsScreened++
 		// The default vector is always screened in full: it anchors the
 		// comparison against the fixed-parallelism search.
-		if vi > 0 && w.vectorFloor(par) > worstKept() {
+		if vi > 0 && w.vectorFloor(par) > kept.bound() {
 			continue
 		}
 		m, err := w.Reparallelize(par)
@@ -641,7 +631,9 @@ func (w *Workload) SearchJoint(opts JointOptions) (*JointResult, error) {
 		for _, p := range par {
 			execs += p
 		}
-		pool = append(pool, screened{par: par, model: m, greedy: m.greedy(), execs: execs})
+		greedy := m.greedy()
+		pool = append(pool, screened{par: par, model: m, greedy: greedy, execs: execs})
+		kept.push(greedy.Score)
 	}
 
 	// Rank screened vectors; ties prefer fewer executors, then the

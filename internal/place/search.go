@@ -1,6 +1,7 @@
 package place
 
 import (
+	"cmp"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -242,6 +243,7 @@ func (m *Model) searchSubtree(order, prefix []int, initialBound float64, opts Se
 		st.place(order[d], s, assign)
 	}
 	var local []Candidate
+	best := newKthSmallest(opts.TopM)
 	bound := initialBound
 	budget := opts.NodeBudget
 
@@ -253,8 +255,10 @@ func (m *Model) searchSubtree(order, prefix []int, initialBound float64, opts Se
 		budget--
 		if d == n {
 			c := Canonical(assign)
-			local = append(local, Candidate{Assign: c, Score: st.bound(assign)})
-			if nb := pruneBound(local, opts.TopM); nb < bound {
+			score := st.bound(assign)
+			local = append(local, Candidate{Assign: c, Score: score})
+			best.push(score)
+			if nb := best.bound(); nb < bound {
 				bound = nb
 			}
 			return
@@ -279,15 +283,70 @@ func (m *Model) searchSubtree(order, prefix []int, initialBound float64, opts Se
 // pruneBound returns the score a new plan must beat to enter the top-M:
 // the M-th best score in the pool, or +Inf headroom when fewer than M.
 func pruneBound(pool []Candidate, topM int) float64 {
-	if len(pool) < topM {
+	best := newKthSmallest(topM)
+	for _, c := range pool {
+		best.push(c.Score)
+	}
+	return best.bound()
+}
+
+// kthSmallest keeps the k smallest scores pushed so far in a bounded
+// max-heap, so the k-th smallest is its root: a top-k cut maintained in
+// O(log k) per score instead of a sort of every score per query. Scores
+// are ordered as sort.Float64s orders them (cmp.Less: NaN first), so
+// bound returns the same value as sorting all pushed scores and taking
+// index k-1.
+type kthSmallest struct {
+	k    int
+	heap []float64
+}
+
+func newKthSmallest(k int) *kthSmallest {
+	return &kthSmallest{k: k, heap: make([]float64, 0, k)}
+}
+
+func (b *kthSmallest) push(s float64) {
+	h := b.heap
+	if len(h) < b.k {
+		h = append(h, s)
+		for i := len(h) - 1; i > 0; {
+			p := (i - 1) / 2
+			if !cmp.Less(h[p], h[i]) {
+				break
+			}
+			h[p], h[i] = h[i], h[p]
+			i = p
+		}
+		b.heap = h
+		return
+	}
+	if !cmp.Less(s, h[0]) {
+		return
+	}
+	h[0] = s
+	for i := 0; ; {
+		top, l, r := i, 2*i+1, 2*i+2
+		if l < len(h) && cmp.Less(h[top], h[l]) {
+			top = l
+		}
+		if r < len(h) && cmp.Less(h[top], h[r]) {
+			top = r
+		}
+		if top == i {
+			return
+		}
+		h[i], h[top] = h[top], h[i]
+		i = top
+	}
+}
+
+// bound returns the k-th smallest score pushed, or 1e308 (no cut yet)
+// while fewer than k have been pushed.
+func (b *kthSmallest) bound() float64 {
+	if len(b.heap) < b.k {
 		return 1e308
 	}
-	scores := make([]float64, len(pool))
-	for i, c := range pool {
-		scores[i] = c.Score
-	}
-	sort.Float64s(scores)
-	return scores[topM-1]
+	return b.heap[0]
 }
 
 // rank dedups canonical assignments and returns the top-M by (score,
